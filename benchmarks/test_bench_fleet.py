@@ -9,8 +9,8 @@ per-node-step rate (same rationale as the grid benchmarks: running all
 64 nodes through the per-scenario path would only make the suite
 slower, not the ratio fairer).
 
-The result is appended to the benchmark trajectory via
-:func:`repro.catalog.record_bench`, so ``BENCH_sweep.json`` gains a
+When ``BENCH_SWEEP_JSON`` names the benchmark trajectory, the result
+is appended to it via :func:`repro.catalog.record_bench`, as a
 ``fleet_sweep`` series CI uploads alongside the existing ones.
 """
 

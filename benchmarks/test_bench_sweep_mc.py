@@ -13,9 +13,9 @@ uncompressed ensemble workload.
 The baseline is timed on a replicate prefix and compared by
 per-replicate-step rate (running all 256 replicates through the
 per-scenario path would only make the suite slower, not the ratio
-fairer). Each run appends its steps/sec-per-path record through the
-catalog manifest (:func:`repro.catalog.record_bench`), which
-regenerates the ``BENCH_sweep.json`` trajectory artifact.
+fairer). Each run appends its steps/sec-per-path record to the
+``BENCH_sweep.json`` trajectory via :func:`repro.catalog.record_bench`
+when ``BENCH_SWEEP_JSON`` names it.
 """
 
 import time

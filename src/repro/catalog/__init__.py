@@ -21,9 +21,7 @@ from ..spec.canonical import spec_hash
 from .artifacts import (ARTIFACT_SCHEMA, columns_to_rows, have_pyarrow,
                         read_artifact, resolve_format, rows_to_columns,
                         write_artifact)
-from .bench import (bench_trajectory, default_bench_catalog,
-                    default_trajectory_path, import_trajectory,
-                    record_bench, write_trajectory)
+from .bench import record_bench
 from .gc import GcReport, collect_garbage
 from .hashing import CacheKey, code_version, scenario_cache_key
 from .manifest import Manifest, ManifestRecord, record_matches
@@ -38,14 +36,10 @@ __all__ = [
     "GcReport",
     "Manifest",
     "ManifestRecord",
-    "bench_trajectory",
     "code_version",
     "collect_garbage",
     "columns_to_rows",
-    "default_bench_catalog",
-    "default_trajectory_path",
     "have_pyarrow",
-    "import_trajectory",
     "read_artifact",
     "record_bench",
     "record_matches",
@@ -54,5 +48,4 @@ __all__ = [
     "scenario_cache_key",
     "spec_hash",
     "write_artifact",
-    "write_trajectory",
 ]

@@ -24,6 +24,7 @@ import json
 import numpy as np
 
 from ..analysis.export import to_jsonable
+from ..simulation.kernel.protocol import CapabilityReport
 from ..simulation.metrics import RunMetrics
 from ..simulation.sweep import ScenarioResult
 
@@ -80,6 +81,21 @@ def resolve_format(format: str) -> str:
                      f"got {format!r}")
 
 
+#: Row extras that hold a :class:`CapabilityReport`; JSON stores them as
+#: plain dicts.
+_REPORT_EXTRAS = ("batch_fallback_reason", "codegen_fallback_reason")
+
+
+def revive_extras(extras: dict) -> dict:
+    """Archived row extras -> the extras the run produced: capability
+    reports come back as :class:`CapabilityReport`, not dicts."""
+    for key in _REPORT_EXTRAS:
+        value = extras.get(key)
+        if isinstance(value, dict):
+            extras[key] = CapabilityReport(**value)
+    return extras
+
+
 def _json_cell(value) -> str:
     """One params/extras dict as a canonical JSON cell."""
     return json.dumps(to_jsonable(value), sort_keys=True)
@@ -122,7 +138,7 @@ def columns_to_rows(columns: dict) -> list:
             params=json.loads(str(columns["params_json"][i])),
             metrics=RunMetrics(**metric_kwargs),
             n_steps=int(columns["n_steps"][i]),
-            extras=json.loads(str(columns["extras_json"][i])),
+            extras=revive_extras(json.loads(str(columns["extras_json"][i]))),
             execution_path=str(columns["execution_path"][i]),
         ))
     return rows

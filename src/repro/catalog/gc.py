@@ -21,7 +21,6 @@ one. ``dry_run=True`` reports what would go without touching anything.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -68,9 +67,8 @@ def collect_garbage(catalog, *, stale: bool = False,
                     dry_run: bool = False) -> GcReport:
     """Prune catalog records and sweep unreferenced files.
 
-    See the module docstring for the policies. Bench records are never
-    pruned by these policies (the trajectory is the point of keeping
-    them); only run records are candidates.
+    See the module docstring for the policies; only run records are
+    candidates.
     """
     report = GcReport(dry_run=dry_run)
     current = code_version()
@@ -127,8 +125,5 @@ def collect_garbage(catalog, *, stale: bool = False,
         surviving_hits = {run_id: count for run_id, count in hits.items()
                          if run_id not in doomed}
         if surviving_hits != hits:
-            catalog._stats_path.write_text(json.dumps(
-                {"hits": surviving_hits,
-                 "total_hits": sum(surviving_hits.values())},
-                indent=2, sort_keys=True) + "\n")
+            catalog._save_hits(surviving_hits)
     return report

@@ -7,9 +7,7 @@ to ``manifest.jsonl`` carrying the dedup key (``spec_hash`` / ``seed`` /
 creation timestamp), and the full result row (metric values, extras,
 step count) — Python's shortest round-trip float ``repr`` makes the
 JSON metric values bitwise-exact, so a dedup hit restores from the
-manifest alone without touching the columnar artifact. Benchmark
-trajectory records (``kind="bench"``) share the same file with a
-free-form ``payload`` instead of a result row.
+manifest alone without touching the columnar artifact.
 
 Append-only by design: archiving never rewrites the file (only
 :mod:`repro.catalog.gc` does, atomically), so an interrupted sweep
@@ -24,14 +22,14 @@ from dataclasses import dataclass, field, fields
 
 __all__ = ["ManifestRecord", "Manifest", "record_matches"]
 
-#: Record kinds the manifest holds.
+#: The kind of an archived run record; lookups and queries skip
+#: records of any other kind.
 KIND_RUN = "run"
-KIND_BENCH = "bench"
 
 
 @dataclass(frozen=True)
 class ManifestRecord:
-    """One archived run (or benchmark sample) in the manifest."""
+    """One archived run in the manifest."""
 
     run_id: str
     kind: str = KIND_RUN
@@ -52,8 +50,6 @@ class ManifestRecord:
     #: The result row's params / extras dicts (JSON form).
     params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    #: Benchmark payload (``kind="bench"`` records only).
-    payload: dict = field(default_factory=dict)
 
     @property
     def dedup_key(self) -> tuple:

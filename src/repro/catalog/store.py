@@ -4,7 +4,7 @@ On-disk layout (everything under one root directory, safe to rsync)::
 
     <root>/
       catalog.json        # store marker: layout version, artifact format
-      manifest.jsonl      # one ManifestRecord per archived run (+ bench)
+      manifest.jsonl      # one ManifestRecord per archived run
       stats.json          # persistent dedup hit counters per run_id
       specs/ab/abcdef...json   # canonical key documents, content-addressed
       results/<run_id>.npz     # columnar result artifacts (.parquet with
@@ -34,14 +34,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 from ..simulation.metrics import RunMetrics
 from ..simulation.sweep import ScenarioResult
-from .artifacts import read_artifact, resolve_format, write_artifact
+from .artifacts import (read_artifact, resolve_format, revive_extras,
+                        write_artifact)
 from .hashing import CacheKey, code_version
-from .manifest import KIND_BENCH, KIND_RUN, Manifest, ManifestRecord
+from .manifest import KIND_RUN, Manifest, ManifestRecord
 
 __all__ = ["Catalog", "CatalogError", "CatalogReport"]
 
@@ -177,7 +179,7 @@ class Catalog:
             params=dict(record.params) if params is None else dict(params),
             metrics=RunMetrics(**metric_kwargs),
             n_steps=record.n_steps,
-            extras=dict(record.extras),
+            extras=revive_extras(dict(record.extras)),
             execution_path=record.execution_path,
         )
 
@@ -278,9 +280,21 @@ class Catalog:
         hits = self.hit_counts()
         for run_id in run_ids:
             hits[run_id] = hits.get(run_id, 0) + 1
-        self._stats_path.write_text(json.dumps(
+        self._save_hits(hits)
+
+    def _save_hits(self, hits: dict) -> None:
+        """Replace the hit counters atomically (tmp + ``os.replace``).
+
+        A crash mid-write leaves the previous ``stats.json`` in place;
+        an in-place rewrite could leave it torn, which
+        :meth:`hit_counts` reads as ``{}`` and the next save would
+        persist — resetting every counter.
+        """
+        tmp = self._stats_path.with_name(f"stats.json.tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(
             {"hits": hits, "total_hits": sum(hits.values())},
             indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, self._stats_path)
 
     def total_hits(self) -> int:
         return sum(self.hit_counts().values())
@@ -288,12 +302,12 @@ class Catalog:
     # ------------------------------------------------------------------
     # Query layer
     # ------------------------------------------------------------------
-    def query(self, *, kind: str = KIND_RUN, system: str | None = None,
+    def query(self, *, system: str | None = None,
               environment: str | None = None, spec_hash: str | None = None,
               seed: int | None = None, seed_stream=None,
               metric_band=None, name: str | None = None,
               code_version: str | None = None) -> list:
-        """Filter manifest records (insertion order preserved).
+        """Filter the manifest's run records (insertion order preserved).
 
         ``metric_band`` is ``(metric, low, high)``; ``seed_stream`` is
         ``(root_seed, stream, n)`` — expanded with
@@ -308,31 +322,11 @@ class Catalog:
             root_seed, stream, n = seed_stream
             seeds = frozenset(replicate_seeds(root_seed, n, stream))
         return [record for record in self.manifest
-                if record_matches(record, kind=kind, system=system,
+                if record_matches(record, kind=KIND_RUN, system=system,
                                   environment=environment,
                                   spec_hash=spec_hash, seed=seed,
                                   seeds=seeds, metric_band=metric_band,
                                   name=name, code_version=code_version)]
-
-    # ------------------------------------------------------------------
-    # Bench trajectory records
-    # ------------------------------------------------------------------
-    def append_bench(self, benchmark: str, payload: dict) -> ManifestRecord:
-        """Append one benchmark sample as a ``kind="bench"`` record."""
-        count = sum(1 for r in self.manifest if r.kind == KIND_BENCH)
-        record = ManifestRecord(
-            run_id=f"bench-{count:06d}-{benchmark}",
-            kind=KIND_BENCH,
-            name=benchmark,
-            code_version=code_version(),
-            created_at=_utc_now(),
-            payload=json.loads(json.dumps(_jsonable(payload))),
-        )
-        self.manifest.append(record)
-        return record
-
-    def bench_records(self) -> list:
-        return [r for r in self.manifest if r.kind == KIND_BENCH]
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -29,13 +29,17 @@ Two execution paths produce bit-for-bit identical results:
   ``fast=True``, which raises instead of quietly degrading.
 
 A third tier, ``fast="codegen"``, compiles the *same* kernel plan one
-step further: :mod:`repro.simulation.kernel.codegen` emits the fused
-step-function source for the whole system and caches the compiled
-artifact on ``(spec_hash, dt, code_version)``, eliminating per-component
-closure dispatch entirely. It shares the kernel's eligibility envelope
-and numerics contract, so its recorded columns are bit-for-bit identical
-to both other paths; an ineligible system degrades to legacy and the
-refusal is reported on :attr:`SimulationResult.codegen_fallback`.
+step further when the system has the fused shape (one supercapacitor,
+buck-boost stages, P&O channels, a plain node):
+:mod:`repro.simulation.kernel.codegen` emits one flat step function for
+the whole system and caches the compiled artifact on ``(spec_hash, dt,
+code_version)``, eliminating per-component closure dispatch entirely.
+Any other kernel-eligible system runs the scalar kernel, with the
+:class:`~repro.simulation.kernel.protocol.CapabilityReport` naming the
+component outside the fused shape on
+:attr:`SimulationResult.codegen_fallback`; a kernel-ineligible system
+degrades to legacy and reports the kernel's refusal there. Every path
+records bit-for-bit identical columns.
 """
 
 from __future__ import annotations
@@ -68,8 +72,10 @@ class SimulationResult:
         #: ``"codegen+kernel"`` / ``"codegen+kernel+legacy"``.
         self.execution_path = execution_path
         #: Under ``fast="codegen"``, the :class:`~repro.simulation.
-        #: kernel.protocol.CapabilityReport` explaining why the system
-        #: could not compile at all (``None`` when codegen ran).
+        #: kernel.protocol.CapabilityReport` explaining why codegen did
+        #: not run: the component outside the fused shape (the scalar
+        #: kernel ran) or the one without a kernel lowering (legacy
+        #: ran). ``None`` when codegen ran.
         self.codegen_fallback = codegen_fallback
 
     def __repr__(self) -> str:
@@ -104,12 +110,13 @@ class Simulator:
         raises :exc:`~repro.simulation.kernel.KernelFallback` instead of
         silently degrading. ``False`` forces the legacy path.
         ``"codegen"`` prefers the fused compiled tier
-        (:mod:`repro.simulation.kernel.codegen`): the kernel plan is
-        emitted as one flat step function, compiled once, and cached on
-        ``(spec_hash, dt, code_version)``; an ineligible system degrades
-        to legacy with the refusal reported on
-        :attr:`SimulationResult.codegen_fallback`, and a mid-run event
-        hands off to the scalar kernel (``"codegen+kernel"``). All
+        (:mod:`repro.simulation.kernel.codegen`): a fused-shape kernel
+        plan is emitted as one flat step function, compiled once, and
+        cached on ``(spec_hash, dt, code_version)``; any other system
+        runs the scalar kernel (or legacy, when it has no lowering) with
+        the refusal reported on :attr:`SimulationResult.
+        codegen_fallback`, and a mid-run event hands off to the scalar
+        kernel (``"codegen+kernel"``). All
         paths produce bit-for-bit identical recorded columns; the path
         that actually ran is reported as :attr:`SimulationResult.
         execution_path` / :attr:`last_execution_path`.
@@ -190,23 +197,27 @@ class Simulator:
             compiled = CompiledEnvironment(
                 self.environment, t0, n_steps, dt,
                 step_offset=self._steps_done)
+            tiers = []
             if self.fast == "codegen":
                 # Fused tier first; an event boundary hands the
                 # remainder of the segment to the scalar kernel, which
                 # fires the event and carries on (or peels to legacy).
-                runner = prepare_codegen(plan, compiled)
-                i = runner(self.events, recorder, n_steps)
-                if i == n_steps:
-                    path = "codegen"
+                # prepare_codegen and run_plan stay module globals looked
+                # up at call time: perfbench/tracer.py patches them here.
+                try:
+                    runner = prepare_codegen(plan, compiled)
+                except LoweringUnsupported as exc:
+                    codegen_fallback = exc.capability_report()
                 else:
-                    i = run_plan(plan, compiled, self.events, recorder,
-                                 n_steps, dt, start=i)
-                    path = "codegen+kernel" if i == n_steps \
-                        else "codegen+kernel+legacy"
-            else:
+                    i = runner(self.events, recorder, n_steps)
+                    tiers.append("codegen")
+            if i < n_steps:
                 i = run_plan(plan, compiled, self.events, recorder,
-                             n_steps, dt, strict=self.fast is True)
-                path = "kernel" if i == n_steps else "kernel+legacy"
+                             n_steps, dt, start=i, strict=self.fast is True)
+                tiers.append("kernel")
+            if i < n_steps:
+                tiers.append("legacy")
+            path = "+".join(tiers)
         # Legacy per-step path — also the landing strip when an event
         # pushed the system outside the kernel's envelope mid-run.
         environment, events = self.environment, self.events

@@ -12,9 +12,9 @@ add a lowering to a new component type.
 
 Two further targets build on the same lowerings: :mod:`.batched` steps
 same-topology scenario grids in lockstep as numpy state vectors, and
-:mod:`.codegen` fuses a single plan into one flat compiled step
-function cached on ``(spec_hash, dt, code_version)`` (see
-``docs/codegen.md``).
+:mod:`.codegen` fuses a single plan of the fused platform shape into
+one flat compiled step function cached on ``(spec_hash, dt,
+code_version)`` (see ``docs/codegen.md``).
 
 Only :mod:`.protocol` is imported eagerly (it has no repro dependencies,
 so component modules can import it without cycles); the plan layer loads

@@ -8,43 +8,38 @@ output stage and node inlined into one flat loop body with the hoisted
 constants baked in as literals — then compiles it once and caches the
 artifact, keyed on ``(spec_hash, dt, code_version)``.
 
-Two emission modes share one generated signature:
+One emission, for one platform shape: the supercapacitor three-branch
+physics, the buck-boost knee/fixed-point, the P&O hill climb and the
+node brown-out state machine are emitted as straight-line Python over
+plain float locals (no attribute access, no call dispatch in the hot
+loop); only the leaf harvester physics (``open_circuit_voltage`` /
+``power_at`` / ``max_power``) remains as bound-method calls, behind
+pure single-slot memos keyed on the ambient value. The shape is a
+single supercap behind a plain bank, buck-boost output, P&O +
+buck-boost channels over library harvesters, a plain node and at most
+a zero-wakeup static manager (see :func:`_fused_config`). A plan
+outside it gets no emission: :func:`prepare_codegen` raises
+:exc:`~.protocol.LoweringUnsupported` whose
+:class:`~.protocol.CapabilityReport` names the first component outside
+the shape, and the engine runs the scalar kernel instead — a generic
+emission of the kernel's own loop measured no faster than the kernel.
 
-* **fused** — the supercapacitor three-branch physics, the buck-boost
-  knee/fixed-point, the P&O hill climb and the node brown-out state
-  machine are emitted as straight-line Python over plain float locals
-  (no attribute access, no call dispatch in the hot loop); only the
-  leaf harvester physics (``open_circuit_voltage`` / ``power_at`` /
-  ``max_power``) remains as bound-method calls, behind pure
-  single-slot memos keyed on the ambient value. Engaged for the
-  single-supercap / buck-boost / P&O / plain-node platform shape.
-* **driver** — a generated twin of :func:`.plan.run_plan`'s loop body
-  with the lowering's closures bound in the prologue and the channel /
-  store loops unrolled; exact for every kernel-eligible system, so the
-  codegen path reports ``execution_path == "codegen"`` for all seven
-  Table I systems.
-
-Numerics contract (PR 4): the emitted code performs the same
+Numerics contract: the emitted code performs the same
 floating-point operations in the same order as the scalar kernel —
 state squarings stay ``v * v``, exact-libm call sites (``math.sqrt``,
 the hoisted ``math.exp`` constants) are preserved, float literals are
 baked with ``repr`` (shortest round-trip, exact), and every branch /
-early return / accumulator of the component code is replicated.
-Both modes are bitwise identical to the legacy and scalar-kernel
-paths; the differential and determinism suites enforce it.
+early return / accumulator of the component code is replicated. The
+emission is bitwise identical to the legacy and scalar-kernel paths;
+the differential and determinism suites enforce it.
 
 Scheduled events never fire inside generated code: the loop breaks at
 the event boundary, writes its locals back to the component objects,
 and the engine finishes the segment on the scalar kernel (which fires
 the event at its loop top) — mirroring the batched tier's peel-out.
 
-Compilation backend: ``numba.njit`` is attempted when the ``[codegen]``
-extra is installed, falling back permanently to the ``exec``-compiled
-pure-Python function on any numba failure (the emitted code calls
-bound harvester methods, which nopython mode rejects today — the
-wrapper exists so a future object-free emission can light it up
-without changing callers). The pure-Python function already clears the
-performance gate by eliminating per-component dispatch.
+Compilation is ``compile()`` + ``exec`` of the emitted source; the
+compiled function is cached on the source digest.
 
 Cache identity: ``(spec_hash, dt, code_version)`` via
 :mod:`repro.catalog.hashing` — the same canonical-JSON hash `repro
@@ -68,11 +63,6 @@ import math
 from ...conditioning.base import HarvestStep
 from ...load.node import NodeState
 from .protocol import LoweringUnsupported
-
-try:  # pragma: no cover - exercised only with the [codegen] extra
-    import numba
-except ImportError:  # the pure-Python backend is the tested baseline
-    numba = None
 
 __all__ = [
     "prepare_codegen",
@@ -99,7 +89,6 @@ _STATS_ZERO = {
     "compile_s": 0.0,   # cumulative wall time spent compiling
     "disk_hits": 0,     # sources loaded from the on-disk cache
     "emitted": 0,       # sources emitted fresh
-    "numba_failures": 0,
 }
 _STATS = dict(_STATS_ZERO)
 
@@ -157,47 +146,9 @@ def _lit(x) -> str:
 
 
 # ----------------------------------------------------------------------
-# Compilation backend
+# Compilation
 # ----------------------------------------------------------------------
-class _CompiledStep:
-    """Compiled step function with a numba attempt and a sticky fallback.
-
-    The first call tries ``numba.njit`` when the extra is installed;
-    nopython typing runs before any of the function body executes, so a
-    failure has no side effects and the wrapper falls back permanently
-    to the exec-compiled pure-Python function.
-    """
-
-    __slots__ = ("pyfunc", "source_digest", "_state", "_jitted")
-
-    def __init__(self, pyfunc, source_digest: str):
-        self.pyfunc = pyfunc
-        self.source_digest = source_digest
-        self._state = "try" if numba is not None else "python"
-        self._jitted = None
-
-    @property
-    def backend(self) -> str:
-        return "numba" if self._state == "numba" else "python"
-
-    def __call__(self, *args):
-        if self._state == "python":
-            return self.pyfunc(*args)
-        if self._state == "numba":
-            return self._jitted(*args)
-        try:  # pragma: no cover - needs the [codegen] extra
-            jitted = numba.njit(self.pyfunc)
-            result = jitted(*args)
-        except Exception:
-            _STATS["numba_failures"] += 1
-            self._state = "python"
-            return self.pyfunc(*args)
-        self._jitted = jitted  # pragma: no cover
-        self._state = "numba"  # pragma: no cover
-        return result  # pragma: no cover
-
-
-def _compile(source: str) -> _CompiledStep:
+def _compile(source: str):
     """Compile emitted source, deduplicated on its digest.
 
     The hit counter only increments here: one warm ``simulate`` is one
@@ -213,7 +164,7 @@ def _compile(source: str) -> _CompiledStep:
     namespace: dict = {}
     code = compile(source, f"<repro-codegen {digest[:12]}>", "exec")
     exec(code, namespace)
-    step = _CompiledStep(namespace["_codegen_run"], digest)
+    step = namespace["_codegen_run"]
     _STATS["compiles"] += 1
     _STATS["compile_s"] += _time.perf_counter() - t0
     _COMPILE_CACHE[digest] = step
@@ -231,18 +182,18 @@ def _cache_dir() -> str:
                         "codegen")
 
 
-def _source_key(system, dt: float, mode: str, sig) -> tuple:
+def _source_key(system, dt: float, sig) -> tuple:
     """Full cache identity for one emitted source.
 
     The headline triple ``(spec_hash, dt, code_version)`` is the
-    documented identity; ``mode`` and the baked-configuration signature
-    ride along as a drift guard, so a system mutated *after* spec
-    construction (or a hand-built system without a spec hash) can never
-    collide with a stale artifact.
+    documented identity; the baked-configuration signature rides along
+    as a drift guard, so a system mutated *after* spec construction (or
+    a hand-built system without a spec hash) can never collide with a
+    stale artifact.
     """
     from ...catalog.hashing import code_version
     spec_hash = getattr(system, "_codegen_spec_hash", None)
-    return (spec_hash, repr(float(dt)), code_version(), mode, repr(sig))
+    return (spec_hash, repr(float(dt)), code_version(), repr(sig))
 
 
 def _disk_path(key: tuple) -> str:
@@ -250,9 +201,9 @@ def _disk_path(key: tuple) -> str:
     return os.path.join(_cache_dir(), f"{digest}.py")
 
 
-def _load_or_emit(system, dt: float, mode: str, sig, emit) -> str:
-    """Source for ``(system, dt, mode, sig)``: memo -> disk -> emit."""
-    key = _source_key(system, dt, mode, sig)
+def _load_or_emit(system, dt: float, sig, emit) -> str:
+    """Source for ``(system, dt, sig)``: memo -> disk -> emit."""
+    key = _source_key(system, dt, sig)
     source = _SOURCE_MEMO.get(key)
     if source is not None:
         return source
@@ -283,11 +234,11 @@ def _load_or_emit(system, dt: float, mode: str, sig, emit) -> str:
 
 
 # ----------------------------------------------------------------------
-# Driver-mode emitter: a generated twin of run_plan's loop body
+# Generated signature and recorder columns
 # ----------------------------------------------------------------------
-_SIGNATURE = ("def _codegen_run(lowering, system, times, avs, scalars, "
-              "state_arr, store_e, store_v, chan_p, base, next_event_t, "
-              "n_steps, start, ctx):")
+_SIGNATURE = ("def _codegen_run(system, times, avs, scalars, state_arr, "
+              "store_e, store_v, chan_p, base, next_event_t, n_steps, "
+              "start, ctx):")
 
 _SCALAR_COLS = (
     ("col_t", "t"), ("col_raw", "harvest_raw"),
@@ -297,133 +248,6 @@ _SCALAR_COLS = (
     ("col_con", "node_consumed"), ("col_bak", "backup_power"),
     ("col_mea", "measurements"),
 )
-
-
-def _driver_shape(lowering, has_cols) -> tuple:
-    return (
-        len(lowering.channels),
-        tuple(has_cols),
-        lowering.bus is not None,
-        lowering.manager_control is not None,
-        lowering.bank.backup_energy is not None,
-        len(lowering.bank.store_objects),
-    )
-
-
-def _emit_driver(shape) -> str:
-    """Emit the scalar-kernel loop with closures bound and loops unrolled.
-
-    Semantically a line-for-line twin of :func:`.plan.run_plan`'s body:
-    same phase order, same accumulation order (``raw = 0.0`` then
-    ``+=`` per channel, preserving -0.0 semantics), same guards — with
-    the event clause replaced by a boundary break (the engine resumes
-    on the scalar kernel, which fires the event).
-    """
-    (n_channels, has_cols, has_bus, has_control, has_backup,
-     n_stores) = shape
-    L: list[str] = [_SIGNATURE]
-    A = L.append
-    A("    RUNNING = ctx['RUNNING']")
-    A("    DEAD = ctx['DEAD']")
-    A("    INF = float('inf')")
-    A("    bank = lowering.bank")
-    A("    bank_voltage = bank.voltage")
-    A("    bank_charge = bank.charge")
-    A("    bank_discharge = bank.discharge")
-    A("    bank_idle = bank.idle")
-    if has_backup:
-        A("    backup_energy = bank.backup_energy")
-    for k in range(n_channels):
-        A(f"    chan_step_{k} = lowering.channels[{k}].step")
-        if has_cols[k]:
-            A(f"    av_{k} = avs[{k}]")
-    A("    out_needed = lowering.output.needed")
-    A("    node_demand = lowering.node.demand")
-    A("    node_step = lowering.node.step")
-    if has_control:
-        A("    control = lowering.manager_control")
-    A("    tq = lowering.quiescent_a")
-    if has_bus:
-        A("    bus = lowering.bus")
-    for k in range(n_stores):
-        A(f"    store_{k} = bank.store_objects[{k}]")
-        A(f"    store_vv_{k} = bank.store_voltages[{k}]")
-    for name, col in _SCALAR_COLS:
-        A(f"    {name} = scalars['{col}']")
-    A("    dt = ctx['dt']")
-    A("    for i in range(start, n_steps):")
-    A("        t = times[i]")
-    A("        if next_event_t <= t:")
-    A("            done = i")
-    A("            break")
-    if has_control:
-        A("        control(t, dt, system)")
-    A("        bus_v = bank_voltage()")
-    A("        row = base + i")
-    A("        raw = 0.0")
-    A("        delivered = 0.0")
-    A("        mpp = 0.0")
-    for k in range(n_channels):
-        value = f"av_{k}[i]" if has_cols[k] else "0.0"
-        A(f"        hs = chan_step_{k}({value}, bus_v)")
-        A("        raw += hs.raw_power")
-        A("        hs_delivered = hs.delivered_power")
-        A("        delivered += hs_delivered")
-        A("        mpp += hs.mpp_power")
-        A(f"        chan_p[row, {k}] = hs_delivered")
-    A("        accepted = bank_charge(delivered) if delivered > 0.0 "
-      "else 0.0")
-    A("        iq = tq * (bus_v if bus_v > 0.0 else 0.0)")
-    if has_bus:
-        A("        pending = bus.energy_spent_j - "
-          "system._bus_energy_charged_j")
-        A("        system._bus_energy_charged_j = bus.energy_spent_j")
-        A("        iq += pending / dt")
-    A("        quiescent_drawn = bank_discharge(iq) if iq > 0.0 else 0.0")
-    if has_backup:
-        A("        backup_before = backup_energy()")
-    A("        demand = node_demand()")
-    A("        sv = bank_voltage()")
-    A("        needed = out_needed(demand, sv)")
-    A("        if needed == INF or demand <= 0.0:")
-    A("            supplied = 0.0")
-    A("            drawn = 0.0")
-    A("        else:")
-    A("            drawn = bank_discharge(needed)")
-    A("            supplied = demand * (drawn / needed) if needed > 0.0 "
-      "else 0.0")
-    A("        node_result = node_step(supplied, dt)")
-    A("        consumed = node_result.consumed_w")
-    A("        if supplied > 0.0 and consumed < supplied - 1e-15:")
-    A("            bank_charge(drawn * (1.0 - consumed / supplied))")
-    if has_backup:
-        A("        dropped = backup_before - backup_energy()")
-        A("        backup_power = (dropped if dropped > 0.0 else 0.0) / dt")
-    else:
-        A("        backup_power = 0.0")
-    A("        bank_idle()")
-    A("        col_t[row] = t")
-    A("        col_raw[row] = raw")
-    A("        col_del[row] = delivered")
-    A("        col_mpp[row] = mpp")
-    A("        col_acc[row] = accepted")
-    A("        col_qsc[row] = quiescent_drawn")
-    A("        col_dem[row] = demand")
-    A("        col_sup[row] = supplied")
-    A("        col_con[row] = consumed")
-    A("        col_bak[row] = backup_power")
-    A("        col_mea[row] = node_result.measurements")
-    A("        state = node_result.state")
-    A("        state_arr[row] = 0 if state is RUNNING else "
-      "(1 if state is DEAD else 2)")
-    for k in range(n_stores):
-        A(f"        store_e[row, {k}] = store_{k}.energy_j")
-        A(f"        store_v[row, {k}] = store_vv_{k}()")
-    A("    else:")
-    A("        done = n_steps")
-    A("    return done")
-    A("")
-    return "\n".join(L)
 
 
 # ----------------------------------------------------------------------
@@ -439,14 +263,11 @@ class CodegenRunner:
     batched tier's peel-out.
     """
 
-    __slots__ = ("plan", "compiled", "step_fn", "mode", "_avs", "_times",
-                 "_ctx")
+    __slots__ = ("plan", "step_fn", "_avs", "_times", "_ctx")
 
-    def __init__(self, plan, compiled, step_fn, mode: str):
+    def __init__(self, plan, compiled, step_fn):
         self.plan = plan
-        self.compiled = compiled
         self.step_fn = step_fn
-        self.mode = mode
         self._times = compiled.times_list()
 
         def values_for(source):
@@ -463,12 +284,7 @@ class CodegenRunner:
             "REBOOTING": NodeState.REBOOTING,
             "HarvestStep": HarvestStep,
             "sqrt": math.sqrt,
-            "dt": plan.dt,
         }
-
-    @property
-    def backend(self) -> str:
-        return self.step_fn.backend
 
     def __call__(self, schedule, recorder, n_steps: int,
                  start: int = 0) -> int:
@@ -476,7 +292,7 @@ class CodegenRunner:
             recorder.columns_for_writing()
         next_event_t = schedule.next_time()
         done = self.step_fn(
-            self.plan.lowering, self.plan.system, self._times, self._avs,
+            self.plan.system, self._times, self._avs,
             scalars, state_arr, store_e, store_v, chan_p, base,
             next_event_t, n_steps, start, self._ctx)
         if done == n_steps:
@@ -487,43 +303,40 @@ class CodegenRunner:
 def prepare_codegen(plan, compiled) -> CodegenRunner:
     """Lower ``plan`` onto the codegen tier.
 
-    Chooses the fused emission when the platform shape qualifies (see
-    :func:`_fused_config`), the generated driver otherwise — both are
-    bitwise-exact, so this choice is a pure performance decision and
-    never affects eligibility: any plan the scalar kernel compiled can
-    run here.
+    Raises :exc:`~.protocol.LoweringUnsupported` when the plan is
+    outside the fused shape (see :func:`_fused_config`); its
+    :meth:`~.protocol.LoweringUnsupported.capability_report` names the
+    first component that does not fit, and the caller runs the scalar
+    kernel instead — same bits, no fusion.
     """
-    system = plan.system
-    dt = plan.dt
     has_cols = tuple(compiled.column_of(lw.source_type) is not None
                      for lw in plan.lowering.channels)
     cfg = _fused_config(plan, has_cols)
-    if cfg is not None:
-        source = _load_or_emit(system, dt, "fused", cfg["sig"],
-                               lambda: _emit_fused(cfg))
-        mode = "fused"
-    else:
-        shape = _driver_shape(plan.lowering, has_cols)
-        source = _load_or_emit(system, dt, "driver", shape,
-                               lambda: _emit_driver(shape))
-        mode = "driver"
-    step_fn = _compile(source)
-    return CodegenRunner(plan, compiled, step_fn, mode)
+    source = _load_or_emit(plan.system, plan.dt, cfg["sig"],
+                           lambda: _emit_fused(cfg))
+    return CodegenRunner(plan, compiled, _compile(source))
 
 
 # ----------------------------------------------------------------------
-# Fused-mode gate
+# Fused-shape gate
 # ----------------------------------------------------------------------
-def _fused_config(plan, has_cols):
-    """Collect the fused emission's baked constants, or None.
+def _outside(component, detail: str) -> LoweringUnsupported:
+    """The refusal for one component outside the fused shape."""
+    name = type(component).__name__
+    return LoweringUnsupported(f"{name} {detail}", component=name,
+                               capability="fused codegen shape")
+
+
+def _fused_config(plan, has_cols) -> dict:
+    """Collect the fused emission's baked constants.
 
     The fused emitter inlines exact twins of specific component
     classes, so it engages only when every component *is* (not merely
     derives from) the class whose arithmetic it bakes: one
     :class:`Supercapacitor` behind a plain bank, buck-boost output,
     P&O + buck-boost channels over library harvesters, a plain node,
-    and at most a zero-wakeup :class:`StaticManager`. Everything else
-    runs the generated driver — same bits, less fusion.
+    and at most a zero-wakeup :class:`StaticManager`. The first
+    component that does not fit raises :exc:`LoweringUnsupported`.
     """
     from ...conditioning.base import InputConditioner, OutputConditioner
     from ...conditioning.converters import BuckBoostConverter
@@ -541,43 +354,51 @@ def _fused_config(plan, has_cols):
     system = plan.system
     dt = plan.dt
     if type(system) is not MultiSourceSystem:
-        return None
-    if lowering.bus is not None or lowering.bank.backup_energy is not None:
-        return None
+        raise _outside(system, "is not a plain MultiSourceSystem")
+    if lowering.bus is not None:
+        raise _outside(lowering.bus, "is a bus device; the fused shape "
+                                     "has no bus")
     bank = system.bank
-    if type(bank) is not StorageBank or len(bank.stores) != 1:
-        return None
+    if type(bank) is not StorageBank:
+        raise _outside(bank, "is not a plain StorageBank")
+    if len(bank.stores) != 1 or lowering.bank.backup_energy is not None:
+        raise _outside(bank, f"holds {len(bank.stores)} store(s); the "
+                             f"fused shape takes one supercapacitor")
     store = bank.stores[0]
     if type(store) is not Supercapacitor:
-        return None
+        raise _outside(store, "is not a Supercapacitor")
     mgr = system.manager
     if mgr is not None and (type(mgr) is not StaticManager or
                             mgr.wakeup_energy_j != 0.0):
-        return None
+        raise _outside(mgr, "is not a zero-wakeup StaticManager")
     output = system.output
     if type(output) is not OutputConditioner:
-        return None
+        raise _outside(output, "is not a plain OutputConditioner")
     oconv = output.converter
     if type(oconv) is not BuckBoostConverter:
-        return None
+        raise _outside(oconv, "is not a buck-boost output converter")
     node = system.node
     if type(node) is not WirelessSensorNode:
-        return None
+        raise _outside(node, "is not a plain WirelessSensorNode")
     channels = []
     for k, ch in enumerate(system.channels):
         if type(ch) is not HarvestingChannel or not ch.enabled:
-            return None
+            raise _outside(ch, f"(channel {k}) is not an enabled plain "
+                               f"HarvestingChannel")
         cond = ch.conditioner
         if type(cond) is not InputConditioner:
-            return None
+            raise _outside(cond, f"(channel {k}) is not a plain "
+                                 f"InputConditioner")
         tracker = cond.tracker
         if type(tracker) is not PerturbObserve:
-            return None
+            raise _outside(tracker, f"(channel {k}) is not a P&O tracker")
         cconv = cond.converter
         if type(cconv) is not BuckBoostConverter:
-            return None
+            raise _outside(cconv, f"(channel {k}) is not a buck-boost "
+                                  f"input converter")
         if not type(ch.harvester).__module__.startswith("repro.harvesters"):
-            return None
+            raise _outside(ch.harvester, f"(channel {k}) is not a library "
+                                         f"harvester")
         channels.append({
             "has_col": bool(has_cols[k]),
             "period": _lit(tracker.update_period),
@@ -592,7 +413,8 @@ def _fused_config(plan, has_cols):
     reboot_power = node._reboot_power()
     if demand_run <= 0.0 or reboot_power <= 0.0:
         # The §4 emission elides run_plan's ``demand <= 0.0`` test.
-        return None
+        raise _outside(node, "draws no power; the fused shape needs a "
+                             "positive demand")
     needed_margin = demand_run - node.sleep_power_w
     (c_fast, c_slow, half_cs, cap_f, capacity_j, min_v2, full_e,
      floor_e, half_cf, alpha, leak) = store._kernel_consts(dt)
@@ -628,7 +450,7 @@ def _fused_config(plan, has_cols):
 
 
 # ----------------------------------------------------------------------
-# Fused-mode emitter
+# Fused emitter
 # ----------------------------------------------------------------------
 def _sync_lines(ind: str, c) -> list:
     """Inlined ``Supercapacitor._kernel_sync`` over the float locals."""

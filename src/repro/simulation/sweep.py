@@ -206,11 +206,11 @@ def _execute(payload) -> ScenarioResult:
     scenario_fast = spec.fast if spec.fast != "auto" else fast
     if scenario_fast == "auto":
         # Per-scenario fallback lanes (missed or disabled batch tier)
-        # prefer the fused codegen tier: same eligibility envelope as
-        # the scalar kernel, bitwise-identical columns, and the compile
-        # cache amortizes across a sweep's repeated topologies. An
-        # ineligible system degrades to legacy with the refusal
-        # reported below, exactly as fast="auto" would have.
+        # prefer the fused codegen tier: bitwise-identical columns, and
+        # the compile cache amortizes across a sweep's repeated
+        # topologies. A system outside the fused shape runs the scalar
+        # kernel (or legacy, without a lowering) exactly as
+        # fast="auto" would have, with the refusal reported below.
         scenario_fast = "codegen"
     result = simulate(system, environment, duration=spec.duration,
                       events=events, dt=spec.dt, fast=scenario_fast)
@@ -246,8 +246,10 @@ class SweepRunner:
     ``"codegen"``, ``"kernel"``, ``"legacy"``, or a ``+``-joined
     combination when a mid-run event forced a handoff). Fallback lanes
     running under ``fast="auto"`` are upgraded to the fused codegen
-    tier; rows that miss it carry ``codegen_fallback_reason`` in their
-    extras beside the batched tier's ``batch_fallback_reason``.
+    tier when their system has the fused shape and run the scalar
+    kernel otherwise; rows that miss codegen carry
+    ``codegen_fallback_reason`` (the component outside the shape) in
+    their extras beside the batched tier's ``batch_fallback_reason``.
 
     Parameters
     ----------

@@ -356,8 +356,12 @@ class TestFallback:
         specs = [ScenarioSpec(name="d0", system=partial(build_system, "D"),
                               environment=env, seed=0)]
         sweep = SweepRunner(processes=1, batch=False).run(specs)
-        # batch=False lanes prefer the fused codegen tier now.
-        assert sweep["d0"].execution_path == "codegen"
+        # batch=False lanes prefer the fused codegen tier; System D's
+        # battery is outside the fused shape, so the scalar kernel runs
+        # and the row names the refusing component.
+        assert sweep["d0"].execution_path == "kernel"
+        report = sweep["d0"].extras["codegen_fallback_reason"]
+        assert report.component == "AABatteryPack"
 
     def test_invalid_batch_value_rejected(self):
         with pytest.raises(ValueError, match="batch"):

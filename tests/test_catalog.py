@@ -5,7 +5,8 @@ under key order and float formatting), cache-key extraction, columnar
 artifacts, the manifest, archive/restore bitwise round-trips, dedup
 hits on every execution tier, crash/resume (an interrupted sweep
 resumes with only the missing remainder), the query layer, garbage
-collection, and the benchmark trajectory records.
+collection, hit-counter durability, and the benchmark trajectory
+writer.
 """
 
 import dataclasses
@@ -19,17 +20,14 @@ from repro.catalog import (
     CatalogError,
     Manifest,
     ManifestRecord,
-    bench_trajectory,
     code_version,
     have_pyarrow,
-    import_trajectory,
     read_artifact,
     record_bench,
     resolve_format,
     scenario_cache_key,
     spec_hash,
     write_artifact,
-    write_trajectory,
 )
 from repro.simulation import sweep as sweep_module
 from repro.simulation import batched_sweep as batched_module
@@ -472,6 +470,12 @@ class TestSweepDedup:
                           catalog=Catalog(batched_store)).run(grid)
         assert hit.catalog_report.hits == 4
         truth = SweepRunner(processes=1, batch=False).run(make_grid(4))
+        # The in-process rows also report why the codegen tier refused
+        # System C's two-store bank: routing, like execution_path. The
+        # batched producer never consulted that tier.
+        for row in truth:
+            report = row.extras.pop("codegen_fallback_reason")
+            assert report.component == "StorageBank"
         assert_rows_equal(list(hit), list(truth))
 
     def test_uncacheable_scenarios_ride_along(self, tmp_path):
@@ -731,105 +735,104 @@ class TestGc:
         assert report.removed_artifacts == ["results/stray.npz"]
         assert not stray.exists()
 
-    def test_bench_records_survive_every_policy(self, tmp_path,
-                                                monkeypatch):
+    def test_non_run_records_survive_every_policy(self, tmp_path,
+                                                  monkeypatch):
+        """Records of another kind (a store written before benchmark
+        history left the catalog holds ``kind="bench"`` lines) are
+        never pruned, and lookups and queries skip them."""
         catalog = Catalog(tmp_path / "store")
         monkeypatch.setenv("REPRO_CODE_VERSION", "v-old")
-        catalog.append_bench("sweep", {"speedup": 10.0})
+        catalog.manifest.append(ManifestRecord(
+            run_id="bench-000000-sweep", kind="bench", name="sweep",
+            code_version=code_version(),
+            created_at="2020-01-01T00:00:00+00:00"))
         monkeypatch.setenv("REPRO_CODE_VERSION", "v-new")
         report = catalog.gc(stale=True, keep_last=0, keep_days=0)
         assert report.removed == 0
-        assert len(catalog.bench_records()) == 1
+        reopened = Catalog(tmp_path / "store")
+        assert [r.kind for r in reopened.manifest] == ["bench"]
+        assert reopened.query() == []
 
 
 # ---------------------------------------------------------------------------
-# Benchmark trajectory records
+# Hit-counter durability
+# ---------------------------------------------------------------------------
+class TestHitCounters:
+    def test_torn_stats_write_keeps_the_old_counters(self, tmp_path,
+                                                     monkeypatch):
+        """A crash mid-write of ``stats.json`` must leave the previous
+        counters readable. An in-place rewrite left a torn file, which
+        ``hit_counts`` read as ``{}`` and the next save persisted."""
+        catalog = Catalog(tmp_path / "store")
+        catalog.record_hits(["run-a", "run-a", "run-b"])
+        assert catalog.hit_counts() == {"run-a": 2, "run-b": 1}
+
+        real_write_text = type(catalog._stats_path).write_text
+
+        def torn_write(path, text, *args, **kwargs):
+            real_write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(catalog._stats_path), "write_text",
+                            torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            catalog.record_hits(["run-a"])
+        monkeypatch.undo()
+
+        assert catalog.hit_counts() == {"run-a": 2, "run-b": 1}
+        catalog.record_hits(["run-b"])
+        assert Catalog(tmp_path / "store").hit_counts() == \
+            {"run-a": 2, "run-b": 2}
+
+
+# ---------------------------------------------------------------------------
+# Benchmark trajectory writer
 # ---------------------------------------------------------------------------
 class TestBenchTrajectory:
-    def test_append_preserves_order(self, tmp_path):
-        catalog = Catalog(tmp_path / "store")
-        catalog.append_bench("sweep", {"speedup": 10.0})
-        catalog.append_bench("ensemble", {"speedup": 7.0})
-        document = bench_trajectory(catalog)
+    def test_record_bench_writes_nothing_without_the_variable(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BENCH_SWEEP_JSON", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert record_bench("sweep", {"speedup": 10.0}) is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_append_preserves_order(self, tmp_path, monkeypatch):
+        trajectory = tmp_path / "BENCH_sweep.json"
+        monkeypatch.setenv("BENCH_SWEEP_JSON", str(trajectory))
+        record_bench("sweep", {"speedup": 10.0})
+        record_bench("ensemble", {"speedup": 7.0})
+        document = json.loads(trajectory.read_text())
         assert [r["benchmark"] for r in document["runs"]] == \
             ["sweep", "ensemble"]
         assert document["runs"][0]["speedup"] == 10.0
 
-    def test_legacy_import_happens_exactly_once(self, tmp_path):
-        legacy = tmp_path / "BENCH_sweep.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0},
-                      {"benchmark": "ensemble", "speedup": 5.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        assert import_trajectory(catalog, legacy) == 2
-        assert import_trajectory(catalog, legacy) == 0  # already seeded
-        assert len(catalog.bench_records()) == 2
-
-    def test_import_tolerates_missing_file(self, tmp_path):
-        catalog = Catalog(tmp_path / "store")
-        assert import_trajectory(catalog, tmp_path / "absent.json") == 0
-
-    def test_record_bench_regenerates_the_trajectory(self, tmp_path):
+    def test_record_bench_appends_to_the_trajectory(self, tmp_path,
+                                                    monkeypatch):
+        """Existing history is kept byte for byte; the new sample
+        appends, and no temporary file is left behind."""
         trajectory = tmp_path / "BENCH_sweep.json"
-        trajectory.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        record_bench("ensemble", {"speedup": 6.5}, catalog=catalog,
-                     trajectory=trajectory)
-        document = json.loads(trajectory.read_text())
-        # Legacy history survives the migration; the new sample appends.
-        assert [r["benchmark"] for r in document["runs"]] == \
-            ["sweep", "ensemble"]
-        assert document["runs"][1]["speedup"] == 6.5
+        history = {"runs": [{"benchmark": "sweep", "speedup": 9.0,
+                             "compile_s": 0.01}]}
+        trajectory.write_text(json.dumps(history, indent=2) + "\n")
+        before = trajectory.read_text()
+        monkeypatch.setenv("BENCH_SWEEP_JSON", str(trajectory))
+        assert record_bench("ensemble", {"speedup": 6.5}) == trajectory
+        after = trajectory.read_text()
+        assert after[:before.rindex("}\n  ]")] == \
+            before[:before.rindex("}\n  ]")]
+        assert json.loads(after)["runs"] == history["runs"] + \
+            [{"benchmark": "ensemble", "speedup": 6.5}]
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_sweep.json"]
 
-    def test_write_trajectory_round_trips(self, tmp_path):
-        catalog = Catalog(tmp_path / "store")
-        catalog.append_bench("sweep", {"speedup": 3.0})
-        out = tmp_path / "out.json"
-        document = write_trajectory(catalog, out)
-        assert json.loads(out.read_text()) == document
-
-    def test_import_merges_into_a_non_empty_store(self, tmp_path):
-        """Regression: a fresh store that records one new sample before
-        touching the legacy file must still absorb the legacy history.
-        The old all-or-nothing guard no-op'd as soon as *any* bench
-        record existed, so a fresh clone's first benchmark run
-        regenerated BENCH_sweep.json with only itself in it."""
-        legacy = tmp_path / "BENCH_sweep.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0},
-                      {"benchmark": "ensemble", "speedup": 5.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        catalog.append_bench("fleet", {"speedup": 4.5})
-        assert import_trajectory(catalog, legacy) == 2
-        # Per-record idempotence: nothing re-imports on a second pass.
-        assert import_trajectory(catalog, legacy) == 0
-        names = [r["benchmark"] for r in bench_trajectory(catalog)["runs"]]
-        assert sorted(names) == ["ensemble", "fleet", "sweep"]
-
-    def test_import_keeps_duplicate_samples_distinct(self, tmp_path):
-        """Two identical legacy samples are two records (a multiset
-        match), and both survive repeated imports without multiplying."""
-        legacy = tmp_path / "BENCH_sweep.json"
-        legacy.write_text(json.dumps(
-            {"runs": [{"benchmark": "sweep", "speedup": 9.0},
-                      {"benchmark": "sweep", "speedup": 9.0}]}))
-        catalog = Catalog(tmp_path / "store")
-        assert import_trajectory(catalog, legacy) == 2
-        assert import_trajectory(catalog, legacy) == 0
-        assert len(catalog.bench_records()) == 2
-
-    def test_write_trajectory_refuses_an_empty_document(self, tmp_path):
-        """require_runs guards CI regeneration: an empty store must not
-        silently replace the benchmark history with {"runs": []}."""
-        catalog = Catalog(tmp_path / "store")
-        out = tmp_path / "out.json"
-        with pytest.raises(RuntimeError, match="trajectory is empty"):
-            write_trajectory(catalog, out, require_runs=True)
-        assert not out.exists()
-        # Without the guard the (explicitly requested) empty document
-        # still writes — `catalog bench` without -o keeps working.
-        assert write_trajectory(catalog, out) == {"runs": []}
+    def test_record_bench_refuses_an_unreadable_trajectory(self, tmp_path,
+                                                           monkeypatch):
+        """A torn or foreign file is not history to overwrite."""
+        trajectory = tmp_path / "BENCH_sweep.json"
+        trajectory.write_text('{"runs": [')
+        monkeypatch.setenv("BENCH_SWEEP_JSON", str(trajectory))
+        with pytest.raises(ValueError):
+            record_bench("sweep", {"speedup": 3.0})
+        assert trajectory.read_text() == '{"runs": ['
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Codegen tier unit suite: cache identity, warm-cache reuse, backends.
+"""Codegen tier unit suite: cache identity, warm-cache reuse, refusals.
 
 The bitwise-equivalence gates live in ``tests/test_determinism.py``
 (Table I letters A-G, mid-run event handoff) and
@@ -7,19 +7,23 @@ compile-cache machinery itself:
 
 * the cache identity is byte-for-byte what ``repro spec --hash``
   prints — the regression guard for ISSUE 8's identity-drift fix;
-* a second identical run performs zero compilations and increments the
-  hit counter (the warm-cache contract, on whichever backend is
-  installed);
+* a second identical run of the fused shape performs zero compilations
+  and increments the hit counter (the warm-cache contract);
 * the on-disk source cache survives a cleared in-process cache;
-* eligibility falls back with a structured CapabilityReport.
+* a system outside the fused shape runs the scalar kernel, and one
+  outside the kernel runs legacy, each with a structured
+  CapabilityReport.
 """
 
 import pytest
 
+from repro.analysis.experiments.common import make_reference_system
 from repro.cli import main
 from repro.environment.composite import outdoor_environment
+from repro.harvesters import PhotovoltaicCell
 from repro.simulation import simulate
 from repro.simulation.kernel import (
+    LoweringUnsupported,
     clear_codegen_cache,
     codegen_cache_identity,
     codegen_stats,
@@ -37,6 +41,19 @@ DT = 600.0
 def _spec_system(letter: str):
     """A Table I system built through the spec layer (hash stamped)."""
     return build(spec_for(letter))
+
+
+def _fused_system(spec_hash: str | None = "f" * 64):
+    """The fused reference shape (one supercap, buck-boost, P&O).
+
+    No registered spec builds this shape, so the spec hash a spec-built
+    system would carry is stamped by hand; ``None`` leaves it hand-built.
+    """
+    system = make_reference_system(
+        [PhotovoltaicCell(area_cm2=30.0, name="pv")], capacitance_f=25.0)
+    if spec_hash is not None:
+        system._codegen_spec_hash = spec_hash
+    return system
 
 
 def _env(seed: int = 5):
@@ -78,14 +95,14 @@ class TestWarmCache:
         clear_codegen_cache()
         env = _env()
         before = codegen_stats()
-        first = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
+        first = simulate(_fused_system(), env, dt=DT, fast="codegen")
         cold = codegen_stats()
         assert first.execution_path == "codegen"
         assert cold["compiles"] == before["compiles"] + 1
         assert cold["emitted"] == before["emitted"] + 1
         assert cold["compile_s"] > before["compile_s"]
 
-        second = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
+        second = simulate(_fused_system(), env, dt=DT, fast="codegen")
         warm = codegen_stats()
         assert second.execution_path == "codegen"
         assert warm["compiles"] == cold["compiles"]
@@ -100,14 +117,14 @@ class TestWarmCache:
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
         clear_codegen_cache()
         env = _env()
-        first = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
+        first = simulate(_fused_system(), env, dt=DT, fast="codegen")
         assert first.execution_path == "codegen"
         cached = list(tmp_path.glob("*.py"))
         assert len(cached) == 1
 
         clear_codegen_cache()
         before = codegen_stats()
-        second = simulate(_spec_system("C"), env, dt=DT, fast="codegen")
+        second = simulate(_fused_system(), env, dt=DT, fast="codegen")
         after = codegen_stats()
         assert second.execution_path == "codegen"
         assert after["disk_hits"] == before["disk_hits"] + 1
@@ -124,24 +141,41 @@ class TestWarmCache:
                                                       monkeypatch):
         monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path))
         clear_codegen_cache()
-        result = simulate(SYSTEM_BUILDERS["C"](), _env(), dt=DT,
+        result = simulate(_fused_system(spec_hash=None), _env(), dt=DT,
                           fast="codegen")
         assert result.execution_path == "codegen"
         assert list(tmp_path.glob("*.py")) == []
 
 
+#: The first component of each Table I letter outside the fused shape.
+UNFUSED_COMPONENT = {
+    "A": "RegisterBus", "B": "RegisterBus", "C": "StorageBank",
+    "D": "AABatteryPack", "E": "ThinFilmBattery", "F": "RegisterBus",
+    "G": "ThinFilmBattery",
+}
+
+
 class TestBackendsAndEligibility:
-    def test_runner_reports_backend(self):
-        """The compiled step advertises which backend executes it:
-        numba when the [codegen] extra is importable and jit succeeds,
-        the pure-Python exec fallback otherwise."""
+    @pytest.mark.parametrize("letter", sorted(SYSTEM_BUILDERS))
+    def test_unfused_shape_runs_the_scalar_kernel(self, letter):
+        """No Table I letter has the fused shape: ``prepare_codegen``
+        refuses it naming the component, compiles nothing, and
+        ``simulate`` runs the scalar kernel carrying that report."""
         from repro.environment.compiled import CompiledEnvironment
-        system = _spec_system("C")
-        plan = KernelPlan.compile(system, DT)
+        plan = KernelPlan.compile(_spec_system(letter), DT)
         compiled = CompiledEnvironment(_env(), 0.0, 16, DT, step_offset=0)
-        runner = prepare_codegen(plan, compiled)
-        assert runner.mode in ("fused", "driver")
-        assert runner.backend in ("python", "numba", "numba?")
+        before = codegen_stats()
+        with pytest.raises(LoweringUnsupported) as refused:
+            prepare_codegen(plan, compiled)
+        assert codegen_stats()["compiles"] == before["compiles"]
+        report = refused.value.capability_report()
+        assert report.component == UNFUSED_COMPONENT[letter]
+        assert report.capability == "fused codegen shape"
+        assert report.detail.startswith(report.component)
+        result = simulate(_spec_system(letter), _env(), dt=DT,
+                          fast="codegen")
+        assert result.execution_path == "kernel"
+        assert result.codegen_fallback == report
 
     def test_invalid_fast_value_rejected(self):
         with pytest.raises(ValueError, match="fast must be"):
@@ -154,8 +188,6 @@ class TestBackendsAndEligibility:
             def charge(self, power_w, dt):
                 return super().charge(power_w * 0.5, dt)
 
-        from repro.analysis.experiments.common import make_reference_system
-        from repro.harvesters import PhotovoltaicCell
         system = make_reference_system(
             [PhotovoltaicCell(area_cm2=30.0, name="pv")],
             stores=[_Replaced(capacitance_f=25.0, name="odd")])

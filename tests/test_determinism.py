@@ -152,20 +152,30 @@ class TestFastPathEquivalence:
         _assert_recorders_identical(legacy.recorder, fast.recorder)
         assert legacy.metrics == fast.metrics
 
-    @pytest.mark.parametrize("letter", sorted(SYSTEM_BUILDERS))
+    @pytest.mark.parametrize("letter", sorted(SYSTEM_BUILDERS) + ["fused"])
     def test_table1_system_codegen_bitwise(self, letter):
-        """Every Table I platform (A-G) on the fused codegen tier:
-        recorded columns bit-for-bit identical to the legacy per-step
-        path, with no capability fallback."""
+        """``fast="codegen"`` on every Table I platform (A-G) and on the
+        fused reference shape: recorded columns bit-for-bit identical to
+        the legacy per-step path. No Table I letter has the fused shape,
+        so each runs the scalar kernel and reports the component outside
+        it; the reference system compiles with no fallback."""
         dt = 120.0
         duration = 2 * DAY
         env = outdoor_environment(duration=duration, dt=dt, seed=23)
-        legacy = simulate(build_system(letter), env, duration=duration,
-                          dt=dt, fast=False)
-        codegen = simulate(build_system(letter), env, duration=duration,
-                           dt=dt, fast="codegen")
-        assert codegen.execution_path == "codegen"
-        assert codegen.codegen_fallback is None
+        build = _mixed_system if letter == "fused" else \
+            (lambda: build_system(letter))
+        legacy = simulate(build(), env, duration=duration, dt=dt,
+                          fast=False)
+        codegen = simulate(build(), env, duration=duration, dt=dt,
+                           fast="codegen")
+        if letter == "fused":
+            assert codegen.execution_path == "codegen"
+            assert codegen.codegen_fallback is None
+        else:
+            assert codegen.execution_path == "kernel"
+            report = codegen.codegen_fallback
+            assert report.capability == "fused codegen shape"
+            assert report.component and report.detail
         _assert_recorders_identical(legacy.recorder, codegen.recorder)
         assert legacy.metrics == codegen.metrics
 

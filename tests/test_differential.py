@@ -53,7 +53,9 @@ from repro.simulation import (
     swap_storage_event,
     why_batch_ineligible,
 )
-from repro.simulation.kernel.plan import why_ineligible
+from repro.simulation.kernel import LoweringUnsupported
+from repro.simulation.kernel.codegen import _fused_config
+from repro.simulation.kernel.plan import KernelPlan, why_ineligible
 from repro.spec import (
     REGISTRY,
     EnvironmentSpec,
@@ -207,6 +209,16 @@ def fuzz_event_case(index: int):
     return build_system, (make_events if drawn else None), rng.randrange(64)
 
 
+def fused_refusal(system, dt: float):
+    """The fused codegen shape's refusal of ``system`` (None if it fits)."""
+    plan = KernelPlan.compile(system, dt)
+    try:
+        _fused_config(plan, (True,) * len(plan.lowering.channels))
+    except LoweringUnsupported as exc:
+        return exc.capability_report()
+    return None
+
+
 def assert_bitwise_equal(recorder, reference, label: str) -> None:
     assert len(recorder) == len(reference), f"{label}: step count diverged"
     for column in COLUMNS:
@@ -318,14 +330,20 @@ class TestFuzzedDifferential:
             assert auto.execution_path == "legacy"
             assert auto.metrics == legacy.metrics
 
-        # Codegen differential: the fused tier shares the scalar
-        # kernel's eligibility envelope, so wherever the kernel ran
-        # bitwise, codegen must too — and wherever it refused, codegen
-        # must degrade to legacy carrying a structured report.
+        # Codegen differential: inside the kernel envelope, codegen
+        # compiles exactly the fused shape and runs the scalar kernel
+        # with the shape's refusal otherwise — bitwise either way; where
+        # the kernel refused, codegen must degrade to legacy carrying a
+        # structured report.
         codegen = run_spec(spec, fast="codegen")
         if kernel_reason is None:
-            assert codegen.execution_path == "codegen"
-            assert codegen.codegen_fallback is None
+            fused_reason = fused_refusal(build(spec.system), spec.dt)
+            if fused_reason is None:
+                assert codegen.execution_path == "codegen"
+                assert codegen.codegen_fallback is None
+            else:
+                assert codegen.execution_path == "kernel"
+                assert codegen.codegen_fallback == fused_reason
             assert_bitwise_equal(codegen.recorder, legacy.recorder,
                                  f"{spec.name} codegen")
             assert codegen.metrics == legacy.metrics
